@@ -17,6 +17,7 @@ use parking_lot::RwLock;
 use pge_graph::{AttrId, ProductGraph, Triple};
 use pge_obs::AtomicHistogram;
 use pge_tensor::FxHashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -244,6 +245,38 @@ impl EmbeddingCache {
     }
 }
 
+/// Per-model scoring state, built once per model generation: one
+/// bit-identical [`crate::score::PreparedRelation`] per attribute
+/// (RotatE's trigonometry paid once, not per row) and an attribute
+/// name → id hash index ([`PgeModel::lookup_attr`] scans linearly).
+#[derive(Clone)]
+pub struct ScoringTables {
+    /// Never reused across builds: tags [`ScoreScratch`] memos, which
+    /// are valid only for the model these tables were built from.
+    id: u64,
+    prepared: Vec<crate::score::PreparedRelation>,
+    attr_index: FxHashMap<String, AttrId>,
+}
+
+impl ScoringTables {
+    pub fn new(model: &PgeModel) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        let scorer = model.scorer();
+        ScoringTables {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            prepared: (0..model.attr_names().len())
+                .map(|i| scorer.prepare(model.relation(AttrId(i as u16))))
+                .collect(),
+            attr_index: model
+                .attr_names()
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.clone(), AttrId(i as u16)))
+                .collect(),
+        }
+    }
+}
+
 /// A [`PgeModel`] scoring through an [`EmbeddingCache`].
 ///
 /// Implements [`ErrorDetector`], so batch detection and evaluation
@@ -253,15 +286,7 @@ impl EmbeddingCache {
 pub struct CachedModel<'a> {
     model: &'a PgeModel,
     cache: &'a EmbeddingCache,
-    /// One [`crate::score::PreparedRelation`] per attribute (relations
-    /// are few and closed-world): RotatE's per-dimension trigonometry
-    /// is paid once here instead of once per scored row. Prepared
-    /// scores are bit-identical to [`crate::score::Scorer::score`].
-    prepared: Vec<crate::score::PreparedRelation>,
-    /// Attribute name → id. [`PgeModel::lookup_attr`] is a linear
-    /// string scan, fine for occasional calls but measurable once per
-    /// scanned row; this index makes it one Fx hash.
-    attr_index: FxHashMap<String, AttrId>,
+    tables: Cow<'a, ScoringTables>,
 }
 
 /// Reusable buffers for the allocation-free scoring path
@@ -271,55 +296,54 @@ pub struct ScoreScratch {
     h: Vec<f32>,
     v: Vec<f32>,
     /// Title whose embedding currently sits in `h`, tagged with the
-    /// owning [`CachedModel`] (empty title = nothing memoized). Scan
-    /// input arrives grouped by product, so one title repeats across
-    /// several consecutive rows; reusing the L1-warm copy in `h`
-    /// skips the shared-cache probe and cold embedding read that
-    /// dominate the hit path at scale.
+    /// [`ScoringTables`] id of the model that embedded it (0 = nothing
+    /// memoized). Input arrives grouped by product, so one title
+    /// repeats across several consecutive rows; reusing the L1-warm
+    /// copy in `h` skips the shared-cache probe and cold embedding
+    /// read that dominate the hit path at scale.
     memo_title: String,
-    memo_owner: usize,
+    memo_owner: u64,
 }
 
 impl<'a> CachedModel<'a> {
+    /// Builds fresh [`ScoringTables`] for `model`.
     pub fn new(model: &'a PgeModel, cache: &'a EmbeddingCache) -> Self {
-        let scorer = model.scorer();
-        let prepared = (0..model.attr_names().len())
-            .map(|i| scorer.prepare(model.relation(AttrId(i as u16))))
-            .collect();
-        let attr_index = model
-            .attr_names()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), AttrId(i as u16)))
-            .collect();
         CachedModel {
             model,
             cache,
-            prepared,
-            attr_index,
+            tables: Cow::Owned(ScoringTables::new(model)),
         }
     }
 
-    pub fn model(&self) -> &PgeModel {
-        self.model
+    /// Scores with `tables` built earlier from this same `model`.
+    pub fn with_tables(
+        model: &'a PgeModel,
+        cache: &'a EmbeddingCache,
+        tables: &'a ScoringTables,
+    ) -> Self {
+        CachedModel {
+            model,
+            cache,
+            tables: Cow::Borrowed(tables),
+        }
     }
 
-    pub fn cache(&self) -> &EmbeddingCache {
-        self.cache
+    /// Attribute name → id, in one hash lookup.
+    pub fn lookup_attr(&self, name: &str) -> Option<AttrId> {
+        self.tables.attr_index.get(name).copied()
     }
 
     /// Cached [`PgeModel::score_fact`].
     pub fn score_fact(&self, title: &str, attr: AttrId, value: &str) -> f32 {
         let h = self.embed(title);
         let v = self.embed(value);
-        self.prepared[attr.0 as usize].score(&h, &v)
+        self.tables.prepared[attr.0 as usize].score(&h, &v)
     }
 
     /// Cached [`PgeModel::score_text_triple`].
     pub fn score_text_triple(&self, title: &str, attr: &str, value: &str) -> Option<f32> {
-        self.attr_index
-            .get(attr)
-            .map(|&a| self.score_fact(title, a, value))
+        self.lookup_attr(attr)
+            .map(|a| self.score_fact(title, a, value))
     }
 
     /// [`Self::score_fact`] without per-call allocations: embeddings
@@ -333,13 +357,13 @@ impl<'a> CachedModel<'a> {
         value: &str,
         s: &mut ScoreScratch,
     ) -> f32 {
-        let prep = &self.prepared[attr.0 as usize];
+        let prep = &self.tables.prepared[attr.0 as usize];
         // `h` is bit-for-bit the cached embedding whether it was
         // copied out just now or memoized from the previous row, and
         // `score` runs on the same floats either way — so every branch
         // below is bit-identical to the plain two-copy path.
-        let owner = self as *const Self as usize;
-        if s.memo_owner == owner && !s.memo_title.is_empty() && s.memo_title == title {
+        let owner = self.tables.id;
+        if s.memo_owner == owner && s.memo_title == title {
             self.cache.note_memo_hit();
         } else {
             self.cache
@@ -365,9 +389,8 @@ impl<'a> CachedModel<'a> {
         value: &str,
         s: &mut ScoreScratch,
     ) -> Option<f32> {
-        self.attr_index
-            .get(attr)
-            .map(|&a| self.score_fact_scratch(title, a, value, s))
+        self.lookup_attr(attr)
+            .map(|a| self.score_fact_scratch(title, a, value, s))
     }
 }
 

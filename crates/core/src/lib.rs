@@ -35,7 +35,7 @@ pub mod score;
 pub mod trainer;
 
 pub use api::ErrorDetector;
-pub use cache::{CachedModel, EmbeddingCache, EmbeddingProvider, ScoreScratch};
+pub use cache::{CachedModel, EmbeddingCache, EmbeddingProvider, ScoreScratch, ScoringTables};
 pub use checkpoint::{
     config_hash, data_fingerprint, CheckpointOptions, TrainerState, CHECKPOINT_FILE,
     CHECKPOINT_MAGIC,

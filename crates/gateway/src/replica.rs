@@ -14,10 +14,10 @@
 use crate::epoll::WakePipe;
 use crate::metrics::GatewayMetrics;
 use parking_lot::{Mutex, RwLock};
-use pge_core::{CachedModel, EmbeddingCache, PgeModel};
+use pge_core::{CachedModel, EmbeddingCache, PgeModel, ScoreScratch, ScoringTables};
 use pge_obs::{span, Stage, Tracer};
-use pge_serve::json::Json;
 use pge_serve::queue::BoundedQueue;
+use pge_serve::wire::render_scores;
 use pge_serve::{ItemScore, ScoreItem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,6 +33,9 @@ pub struct ModelState {
     /// Plausibility ≤ threshold classifies as error.
     pub threshold: f32,
     pub cache: EmbeddingCache,
+    /// Prepared relations and attribute index, built once per model
+    /// generation rather than once per job.
+    pub tables: ScoringTables,
     /// Snapshot generation: 0 at start, +1 per completed swap.
     pub version: u64,
 }
@@ -40,6 +43,7 @@ pub struct ModelState {
 impl ModelState {
     pub fn new(model: Arc<PgeModel>, threshold: f32, cache_cap: usize, version: u64) -> Self {
         ModelState {
+            tables: ScoringTables::new(&model),
             model,
             threshold,
             cache: EmbeddingCache::new(cache_cap),
@@ -50,23 +54,16 @@ impl ModelState {
     /// Score a request's items through the replica's cache. Identical
     /// math to offline `Detector::scores`: the cache is keyed by exact
     /// text and the encoder is pure, so served plausibilities are
-    /// bit-identical to scoring the same triples offline.
-    pub fn score_items(&self, items: &[ScoreItem]) -> Vec<ItemScore> {
-        let cm = CachedModel::new(&self.model, &self.cache);
+    /// bit-identical to scoring the same triples offline. Lookups copy
+    /// into the worker's `scratch` instead of allocating.
+    pub fn score_items(&self, items: &[ScoreItem], scratch: &mut ScoreScratch) -> Vec<ItemScore> {
+        let cm = CachedModel::with_tables(&self.model, &self.cache, &self.tables);
         items
             .iter()
-            .map(
-                |it| match cm.score_text_triple(&it.title, &it.attr, &it.value) {
-                    Some(p) => ItemScore {
-                        plausibility: Some(p),
-                        is_error: Some(p <= self.threshold),
-                    },
-                    None => ItemScore {
-                        plausibility: None,
-                        is_error: None,
-                    },
-                },
-            )
+            .map(|it| {
+                let p = cm.score_text_triple_scratch(&it.title, &it.attr, &it.value, scratch);
+                ItemScore::judge(p, self.threshold)
+            })
             .collect()
     }
 }
@@ -165,33 +162,6 @@ impl Replica {
     }
 }
 
-/// Render scores in the exact JSON shape `pge-serve` answers with, so
-/// clients cannot tell which tier scored them.
-pub fn render_scores(scores: &[ItemScore]) -> String {
-    Json::Arr(
-        scores
-            .iter()
-            .map(|s| {
-                let mut pairs = vec![
-                    (
-                        "plausibility".to_string(),
-                        s.plausibility.map_or(Json::Null, |p| Json::Num(p as f64)),
-                    ),
-                    (
-                        "is_error".to_string(),
-                        s.is_error.map_or(Json::Null, Json::Bool),
-                    ),
-                ];
-                if s.plausibility.is_none() {
-                    pairs.push(("detail".to_string(), Json::Str("unknown attribute".into())));
-                }
-                Json::Obj(pairs)
-            })
-            .collect(),
-    )
-    .to_string()
-}
-
 /// Worker loop for replica `ix`: drain micro-batches, score each job
 /// against the state current at batch start, post completions, poke
 /// the event loop. Exits when the queue is closed and empty.
@@ -205,6 +175,7 @@ pub fn worker_loop(
 ) {
     let mut jobs: Vec<Job> = Vec::new();
     let mut out: Vec<Completion> = Vec::new();
+    let mut scratch = ScoreScratch::default();
     while replica.queue.pop_batch(max_batch.max(1), &mut jobs) {
         let _batch_span = span("gateway.batch");
         // Fault injection: the stall runs before any job's `dequeue`
@@ -228,7 +199,7 @@ pub fn worker_loop(
             let (h0, m0) = (state.cache.hits(), state.cache.misses());
             tracer.record(job.trace, Stage::Score, job.items.len() as u64);
             let score_start = Instant::now();
-            let scores = state.score_items(&job.items);
+            let scores = state.score_items(&job.items, &mut scratch);
             metrics
                 .stage_score
                 .observe(score_start.elapsed().as_secs_f64());
@@ -258,31 +229,6 @@ pub fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_matches_serve_shape() {
-        let scores = vec![
-            ItemScore {
-                plausibility: Some(-1.5),
-                is_error: Some(true),
-            },
-            ItemScore {
-                plausibility: None,
-                is_error: None,
-            },
-        ];
-        let body = render_scores(&scores);
-        let parsed = pge_serve::json::parse(&body).unwrap();
-        let arr = parsed.as_array().unwrap();
-        assert_eq!(arr[0].get("plausibility").unwrap().as_f64(), Some(-1.5));
-        assert_eq!(arr[0].get("is_error").unwrap().as_bool(), Some(true));
-        assert!(arr[0].get("detail").is_none());
-        assert!(matches!(arr[1].get("plausibility"), Some(Json::Null)));
-        assert_eq!(
-            arr[1].get("detail").unwrap().as_str(),
-            Some("unknown attribute")
-        );
-    }
 
     #[test]
     fn completion_sink_wakes_and_drains() {

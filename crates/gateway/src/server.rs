@@ -37,7 +37,7 @@ use pge_obs::{
 };
 use pge_serve::http::{self, ReadError};
 use pge_serve::json::{self, Json};
-use pge_serve::ScoreItem;
+use pge_serve::wire::{decode_items, error_json};
 use pge_store::{MmapMode, DEFAULT_RESIDENT_BUDGET};
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
@@ -438,37 +438,6 @@ pub fn start(
     })
 }
 
-fn error_json(message: &str) -> String {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))]).to_string()
-}
-
-/// Parse a `/v1/score` body: a JSON array of `{title, attr, value}`.
-/// Mirrors `pge-serve`'s validation (and its error wording) exactly.
-fn parse_items(body: &[u8]) -> Result<Vec<ScoreItem>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let parsed = json::parse(text).map_err(|e| e.to_string())?;
-    let raw_items = parsed
-        .as_array()
-        .ok_or_else(|| "expected a JSON array of {title, attr, value}".to_string())?;
-    let mut items = Vec::with_capacity(raw_items.len());
-    for (i, it) in raw_items.iter().enumerate() {
-        let field = |k: &str| it.get(k).and_then(Json::as_str);
-        match (field("title"), field("attr"), field("value")) {
-            (Some(t), Some(a), Some(v)) => items.push(ScoreItem {
-                title: t.to_string(),
-                attr: a.to_string(),
-                value: v.to_string(),
-            }),
-            _ => {
-                return Err(format!(
-                    "item {i}: expected string fields title, attr, value"
-                ))
-            }
-        }
-    }
-    Ok(items)
-}
-
 /// Queue a rendered response on the connection, in sequence order.
 fn respond_inline(
     conn: &mut Conn,
@@ -546,7 +515,7 @@ fn dispatch(conn: &mut Conn, token: u64, seq: u64, req: http::Request, shared: &
             inline_json(conn, 200, &body);
         }
         ("POST", "/v1/score") => {
-            let items = match parse_items(&req.body) {
+            let items = match decode_items(&req.body) {
                 Ok(items) => items,
                 Err(msg) => {
                     shared.metrics.bad_requests_total.inc();
@@ -728,7 +697,9 @@ fn parse_buffered(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
     Ok(())
 }
 
-/// Non-blocking read into the connection buffer, then parse.
+/// Non-blocking read into the connection buffer, then parse. Stops at
+/// a short read (the socket is drained; level-triggered epoll reports
+/// later bytes) unless the peer half-closed, then reads on to the EOF.
 fn read_and_parse(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(), ()> {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
@@ -737,7 +708,12 @@ fn read_and_parse(conn: &mut Conn, token: u64, shared: &Arc<Shared>) -> Result<(
                 conn.peer_closed = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&chunk[..n]);
+                if n < READ_CHUNK && !conn.peer_closed {
+                    break;
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return Err(()),

@@ -129,6 +129,7 @@ impl std::error::Error for ParseError {}
 
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -144,6 +145,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -256,6 +258,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte in one go. Those stop bytes are
+            // ASCII, so the run ends on a char boundary of the input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -283,15 +294,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so
-                    // boundaries are valid by construction).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -449,5 +452,170 @@ mod tests {
     fn nonfinite_numbers_render_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+}
+
+/// The string scanner against untrusted bodies: linear time on
+/// request-sized input, and the same answers as a char-at-a-time
+/// reference on random strings.
+#[cfg(test)]
+mod string_scan_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
+
+    /// The request body limit of the serving tiers.
+    const FOUR_MIB: usize = 4 * 1024 * 1024;
+    /// Generous even for a debug build: linear parsing of 4 MiB takes
+    /// well under a second, the quadratic scanner took minutes.
+    const BOUND: Duration = Duration::from_secs(5);
+
+    fn parse_within_bound(what: &str, doc: &str) -> Json {
+        let start = Instant::now();
+        let v = parse(doc).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let took = start.elapsed();
+        assert!(took < BOUND, "{what}: parsing 4 MiB took {took:?}");
+        v
+    }
+
+    #[test]
+    fn four_mib_single_string_parses_in_linear_time() {
+        let doc = format!("\"{}\"", "é".repeat(FOUR_MIB / 2 - 1));
+        let v = parse_within_bound("single string", &doc);
+        assert_eq!(v.as_str().map(str::len), Some(doc.len() - 2));
+    }
+
+    #[test]
+    fn four_mib_of_short_strings_parses_in_linear_time() {
+        let item = r#"{"title":"salted chips","attr":"flavor","value":"salt"},"#;
+        let mut doc = "[".to_string() + &item.repeat(FOUR_MIB / item.len());
+        doc.pop();
+        doc.push(']');
+        let v = parse_within_bound("short strings", &doc);
+        assert_eq!(v.as_array().map(<[Json]>::len), Some(FOUR_MIB / item.len()));
+    }
+
+    #[test]
+    fn four_mib_escape_dense_string_parses_in_linear_time() {
+        let unit = r#"a\n\"é😀\\"#;
+        let doc = format!("\"{}\"", unit.repeat(FOUR_MIB / unit.len()));
+        let v = parse_within_bound("escape-dense string", &doc);
+        let expect = "a\n\"é😀\\".repeat(FOUR_MIB / unit.len());
+        assert_eq!(v.as_str(), Some(expect.as_str()));
+    }
+
+    /// The pre-run-copy scanner: one scalar per step. Kept here only
+    /// as the reference the production scanner must agree with.
+    fn reference_string(p: &mut Parser) -> Result<String, ParseError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let c = p.unicode_escape()?;
+                            out.push(c);
+                            continue;
+                        }
+                        _ => return Err(p.err("bad escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(b) if b < 0x20 => return Err(p.err("control character in string")),
+                Some(_) => {
+                    let c = p.text[p.pos..].chars().next().unwrap();
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Fragments a random string body is assembled from: plain and
+    /// multibyte text, every escape form (valid, malformed, truncated,
+    /// lone surrogates), raw control bytes and an early quote.
+    const PIECES: &[&str] = &[
+        "a",
+        "chips ",
+        "Z9",
+        " ",
+        "é",
+        "€",
+        "😀",
+        "日本",
+        "\\n",
+        "\\t",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\r",
+        "\\u00e9",
+        "\\u20AC",
+        "\\ud83d\\ude00",
+        "\\ud83d",
+        "\\udc00",
+        "\\ud83dx",
+        "\\u12",
+        "\\u12g4",
+        "\\x",
+        "\\",
+        "\u{1}",
+        "\t",
+        "\n",
+        "\u{1f}",
+        "\"",
+    ];
+
+    fn parser(text: &str) -> Parser<'_> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn run_scanner_matches_char_at_a_time_reference(
+            picks in prop::collection::vec(0..PIECES.len(), 0..24),
+            cut in 0..1000usize,
+        ) {
+            let full: String =
+                std::iter::once("\"").chain(picks.iter().map(|&i| PIECES[i])).chain(["\""]).collect();
+            // Truncate at a char boundary somewhere in the document.
+            let mut end = full.len() * cut / 999;
+            while !full.is_char_boundary(end) {
+                end -= 1;
+            }
+            for doc in [&full[..], &full[..end]] {
+                let (mut fast, mut slow) = (parser(doc), parser(doc));
+                let got = fast.string();
+                let want = reference_string(&mut slow);
+                prop_assert_eq!(&got, &want, "document {:?}", doc);
+                prop_assert_eq!(fast.pos, slow.pos, "document {:?}", doc);
+                // Whole-document parse agrees with the reference result.
+                if let (Ok(s), true) = (&want, slow.pos == doc.len()) {
+                    prop_assert_eq!(parse(doc), Ok(Json::Str(s.clone())));
+                }
+            }
+        }
     }
 }

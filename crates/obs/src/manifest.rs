@@ -109,10 +109,12 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_readings_are_sane() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
+        // Current first: other tests in this binary allocate while this
+        // one runs, and a high-water mark read afterwards can never
+        // undercut an earlier current reading.
         let cur = current_rss_bytes().expect("VmRSS readable on Linux");
-        // A running test binary resides in at least a few hundred KiB
-        // and the high-water mark can never undercut the current RSS.
+        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
+        // A running test binary resides in at least a few hundred KiB.
         assert!(peak > 100 << 10, "{peak}");
         assert!(peak >= cur, "peak {peak} < current {cur}");
     }

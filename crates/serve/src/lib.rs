@@ -23,10 +23,12 @@ pub mod metrics;
 pub mod queue;
 pub mod server;
 pub mod signal;
+pub mod wire;
 
 pub use metrics::Metrics;
 pub use queue::{BoundedQueue, PushError};
-pub use server::{start, ItemScore, ScoreItem, ServeConfig, ServerHandle};
+pub use server::{start, ServeConfig, ServerHandle};
 pub use signal::{
     install_handlers, request_reload, request_shutdown, shutdown_requested, take_reload_request,
 };
+pub use wire::{ItemScore, ScoreItem};

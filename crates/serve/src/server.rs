@@ -19,9 +19,10 @@
 //! of cache hits, evictions, or batch boundaries.
 
 use crate::http::{self, ReadError, Request};
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
+use crate::wire::{decode_items, error_json, render_scores, ItemScore, ScoreItem};
 use pge_core::api::plausibility_parallel;
 use pge_core::{CachedModel, EmbeddingCache, ErrorDetector, PgeModel};
 use pge_graph::{AttrId, ProductGraph, ProductId, Triple, ValueId};
@@ -72,22 +73,6 @@ impl Default for ServeConfig {
             trace_slow: Duration::from_millis(DEFAULT_SLOW_MS),
         }
     }
-}
-
-/// One triple to score, as raw text.
-#[derive(Debug, Clone)]
-pub struct ScoreItem {
-    pub title: String,
-    pub attr: String,
-    pub value: String,
-}
-
-/// Outcome for one item. `None` fields mean the attribute was unknown
-/// to the model (no relation vector exists to score against).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ItemScore {
-    pub plausibility: Option<f32>,
-    pub is_error: Option<bool>,
 }
 
 struct Job {
@@ -336,10 +321,6 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn error_json(message: &str) -> String {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))]).to_string()
-}
-
 fn respond(w: &mut impl Write, shared: &Shared, req: &Request, keep_alive: bool) -> io::Result<()> {
     // The HTTP parser keeps the query string in the path; split it
     // off so `/debug/trace?n=5` dispatches on the bare path.
@@ -414,36 +395,13 @@ type ExtraHeaders = Vec<(&'static str, String)>;
 /// true when the request entered the scoring queue and is being
 /// tracked by the in-flight drain counter.
 fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, bool) {
-    let bad = |msg: &str| {
-        shared.metrics.bad_requests_total.inc();
-        (400, Vec::new(), error_json(msg), false)
-    };
-    let Ok(text) = std::str::from_utf8(body) else {
-        return bad("body is not UTF-8");
-    };
-    let parsed = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return bad(&e.to_string()),
-    };
-    let Some(raw_items) = parsed.as_array() else {
-        return bad("expected a JSON array of {title, attr, value}");
-    };
-    let mut items = Vec::with_capacity(raw_items.len());
-    for (i, it) in raw_items.iter().enumerate() {
-        let field = |k: &str| it.get(k).and_then(Json::as_str);
-        match (field("title"), field("attr"), field("value")) {
-            (Some(t), Some(a), Some(v)) => items.push(ScoreItem {
-                title: t.to_string(),
-                attr: a.to_string(),
-                value: v.to_string(),
-            }),
-            _ => {
-                return bad(&format!(
-                    "item {i}: expected string fields title, attr, value"
-                ))
-            }
+    let items = match decode_items(body) {
+        Ok(items) => items,
+        Err(msg) => {
+            shared.metrics.bad_requests_total.inc();
+            return (400, Vec::new(), error_json(&msg), false);
         }
-    }
+    };
     if items.is_empty() {
         shared.metrics.requests_total.inc();
         return (200, Vec::new(), "[]".to_string(), false);
@@ -486,31 +444,7 @@ fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, boo
     shared.metrics.requests_total.inc();
     match rx.recv_timeout(Duration::from_secs(30)) {
         Ok(scores) => {
-            let arr = Json::Arr(
-                scores
-                    .iter()
-                    .map(|s| {
-                        let mut pairs = vec![
-                            (
-                                "plausibility".to_string(),
-                                s.plausibility.map_or(Json::Null, |p| Json::Num(p as f64)),
-                            ),
-                            (
-                                "is_error".to_string(),
-                                s.is_error.map_or(Json::Null, Json::Bool),
-                            ),
-                        ];
-                        if s.plausibility.is_none() {
-                            pairs.push((
-                                "detail".to_string(),
-                                Json::Str("unknown attribute".into()),
-                            ));
-                        }
-                        Json::Obj(pairs)
-                    })
-                    .collect(),
-            );
-            let body = arr.to_string();
+            let body = render_scores(&scores);
             shared
                 .tracer
                 .record(trace, Stage::WriteBack, body.len() as u64);
@@ -531,7 +465,7 @@ fn handle_score(shared: &Shared, body: &[u8]) -> (u16, ExtraHeaders, String, boo
 /// serial cutoff for small batches.
 struct BatchAdapter<'a> {
     cm: &'a CachedModel<'a>,
-    items: &'a [(ScoreItem, AttrId)],
+    items: &'a [(&'a ScoreItem, AttrId)],
 }
 
 impl ErrorDetector for BatchAdapter<'_> {
@@ -561,12 +495,12 @@ fn worker_loop(shared: &Shared) {
 
         // Flatten scorable items; (job index, item index) per entry.
         let assembly_start = Instant::now();
-        let mut flat: Vec<(ScoreItem, AttrId)> = Vec::new();
+        let mut flat: Vec<(&ScoreItem, AttrId)> = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new();
         for (ji, job) in jobs.iter().enumerate() {
             for (ii, item) in job.items.iter().enumerate() {
-                if let Some(attr) = shared.model.lookup_attr(&item.attr) {
-                    flat.push((item.clone(), attr));
+                if let Some(attr) = cm.lookup_attr(&item.attr) {
+                    flat.push((item, attr));
                     slots.push((ji, ii));
                 }
             }
@@ -610,23 +544,13 @@ fn worker_loop(shared: &Shared) {
             .stage_score
             .observe(score_start.elapsed().as_secs_f64());
 
+        let unknown = ItemScore::judge(None, shared.threshold);
         let mut results: Vec<Vec<ItemScore>> = jobs
             .iter()
-            .map(|j| {
-                vec![
-                    ItemScore {
-                        plausibility: None,
-                        is_error: None,
-                    };
-                    j.items.len()
-                ]
-            })
+            .map(|j| vec![unknown.clone(); j.items.len()])
             .collect();
         for ((ji, ii), score) in slots.into_iter().zip(&scores) {
-            results[ji][ii] = ItemScore {
-                plausibility: Some(*score),
-                is_error: Some(*score <= shared.threshold),
-            };
+            results[ji][ii] = ItemScore::judge(Some(*score), shared.threshold);
         }
 
         let total_items: usize = jobs.iter().map(|j| j.items.len()).sum();

@@ -927,3 +927,72 @@ fn health_version_metrics_and_errors_speak_http() {
     }
     handle.shutdown();
 }
+
+/// A body at the size limit must not stall the event loop: while one
+/// client posts a 4 MiB `/v1/score` body holding a single long title,
+/// `GET /healthz` on another connection answers within a second, and
+/// the big request still gets a well-formed answer. Decoding that body
+/// used to be quadratic and held the loop for minutes.
+#[test]
+fn healthz_stays_live_while_a_four_mib_body_is_scored() {
+    const LIVENESS: Duration = Duration::from_secs(1);
+    let data = tiny_data();
+    let (model, threshold) = tiny_model(&data, 2);
+    let attr = data.graph.attr_name(data.test[0].triple.attr).to_string();
+    let handle = gateway(
+        &data,
+        model,
+        threshold,
+        GatewayConfig {
+            addr: "127.0.0.1:0".into(),
+            ..GatewayConfig::default()
+        },
+    );
+    let addr = handle.local_addr();
+
+    let head = "[{\"attr\":\"".to_string() + &attr + "\",\"value\":\"salt\",\"title\":\"";
+    let tail = "\"}]";
+    let limit = pge::serve::http::MAX_BODY_BYTES;
+    let title_len = limit - head.len() - tail.len();
+    let title: String = "crunchy sea salt chips "
+        .chars()
+        .cycle()
+        .take(title_len)
+        .collect();
+    let body = head + &title + tail;
+    assert_eq!(body.len(), limit);
+
+    let big = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(score_request(&body, false).as_bytes())
+            .expect("send");
+        let mut buf = Vec::new();
+        read_one_response(&mut stream, &mut buf).expect("response before EOF")
+    });
+
+    let mut probes = 0;
+    while !big.is_finished() || probes == 0 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(2 * LIVENESS))
+            .expect("read timeout");
+        let start = Instant::now();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+            .expect("send");
+        let answer = read_one_response(&mut stream, &mut Vec::new());
+        let took = start.elapsed();
+        assert_eq!(answer, Some((200, "ok\n".to_string())), "probe {probes}");
+        assert!(took < LIVENESS, "probe {probes}: /healthz took {took:?}");
+        probes += 1;
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let (status, body) = big.join().expect("big request thread");
+    assert_eq!(status, 200, "{body}");
+    let scores = parse_plausibilities(&body);
+    assert_eq!(scores.len(), 1);
+    assert!(scores[0].is_finite(), "{body}");
+    handle.shutdown();
+}
